@@ -17,7 +17,10 @@ two questions:
 * ``feasible(machine_idx, node)`` — hard yes/no (derived from the penalty
   by default: feasible iff the penalty is zero);
 * ``penalty(machine_idx, node)`` — a *soft*, non-negative cost added to
-  the objective for that placement.
+  the objective for that placement;
+* ``penalties(machine_idx, nodes)`` — the same cost for many groups on one
+  machine at once (a loop over ``penalty`` by default; the shipped
+  constraints vectorize it).
 
 Penalties are finite, so every placement stays evaluable — "never a wrong
 schedule" is enforced by solver capability gating (see
@@ -29,6 +32,8 @@ that are symmetric *under the constraint* and dedupe permutations of them.
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Type
+
+import numpy as np
 
 __all__ = [
     "ScenarioConstraint",
@@ -61,6 +66,19 @@ class ScenarioConstraint:
         """Non-negative soft cost of placing co-run group ``node`` on
         machine ``machine_idx``."""
         raise NotImplementedError
+
+    def penalties(self, machine_idx: int, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`penalty` for every row of ``nodes`` (an ``(N, u)`` pid
+        array) on machine ``machine_idx``, as a length-N float array.
+
+        This default calls :meth:`penalty` once per row, so a constraint
+        that only defines ``penalty`` still works in batched scoring;
+        override it with a vectorized form that returns the same values.
+        """
+        return np.array(
+            [self.penalty(machine_idx, tuple(row)) for row in nodes.tolist()],
+            dtype=float,
+        )
 
     def feasible(self, machine_idx: int, node: Sequence[int]) -> bool:
         """True when the placement incurs no penalty."""
@@ -122,6 +140,18 @@ class ScenarioConstraint:
                 )
 
 
+def _overage_penalties(
+    per_pid: np.ndarray, nodes: np.ndarray, cap: float, weight: float
+) -> np.ndarray:
+    """``weight * max(0, Σ_{p∈node} per_pid[p] − cap) / cap`` per row of
+    ``nodes``.  Columns are added one at a time, left to right, so each
+    row's total is rounded exactly like the scalar ``sum`` over the node."""
+    total = np.zeros(len(nodes))
+    for col in nodes.T:
+        total += per_pid[col]
+    return np.where(total > cap, weight * (total - cap) / cap, 0.0)
+
+
 class BandwidthCapConstraint(ScenarioConstraint):
     """Per-machine memory-bus bandwidth cap (Eremeev et al. scenario).
 
@@ -149,6 +179,7 @@ class BandwidthCapConstraint(ScenarioConstraint):
         self.weight = float(weight)
         if any(d < 0 for d in self.demands):
             raise ValueError("bandwidth demands must be non-negative")
+        self._demand_arr = np.asarray(self.demands, dtype=float)
         if any(c is not None and c <= 0 for c in self.caps):
             raise ValueError("bandwidth caps must be positive (or None)")
         if self.weight < 0:
@@ -162,6 +193,12 @@ class BandwidthCapConstraint(ScenarioConstraint):
         if usage <= cap:
             return 0.0
         return self.weight * (usage - cap) / cap
+
+    def penalties(self, machine_idx: int, nodes: np.ndarray) -> np.ndarray:
+        cap = self.caps[machine_idx]
+        if cap is None:
+            return np.zeros(len(nodes))
+        return _overage_penalties(self._demand_arr, nodes, cap, self.weight)
 
     def to_dict(self) -> Dict:
         return {
@@ -205,6 +242,7 @@ class CachePartitionModel(ScenarioConstraint):
         self.weight = float(weight)
         if any(f < 0 for f in self.footprints):
             raise ValueError("cache footprints must be non-negative")
+        self._footprint_arr = np.asarray(self.footprints, dtype=float)
         if any(c <= 0 for c in self.cache_bytes):
             raise ValueError("cache sizes must be positive")
         if self.weight < 0:
@@ -231,6 +269,12 @@ class CachePartitionModel(ScenarioConstraint):
         if total <= cache:
             return 0.0
         return self.weight * (total - cache) / cache
+
+    def penalties(self, machine_idx: int, nodes: np.ndarray) -> np.ndarray:
+        return _overage_penalties(
+            self._footprint_arr, nodes, self.cache_bytes[machine_idx],
+            self.weight,
+        )
 
     def to_dict(self) -> Dict:
         return {

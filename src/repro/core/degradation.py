@@ -25,7 +25,9 @@ Three implementations:
 from __future__ import annotations
 
 import abc
-from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet, Dict, FrozenSet, Iterator, Mapping, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -226,12 +228,10 @@ class SDCDegradationModel(CacheDegradationModel):
         """Exact minimum of ``d_{pid,S}`` over k-subsets of ``universe``.
 
         Degradations depend only on the co-runner *profile multiset*, so the
-        minimum is taken over distinct multisets (C(P + k - 1, k) for P
-        distinct profiles, not C(|universe|, k)), constrained by the number
-        of processes actually available per profile.
+        minimum is taken over distinct multisets, and only over those the
+        universe can supply: each profile appears at most as often as
+        processes carrying it are available.
         """
-        import itertools as _it
-
         me = self._pid_profile[pid]
         if me is None or k == 0:
             return 0.0
@@ -242,22 +242,44 @@ class SDCDegradationModel(CacheDegradationModel):
             name = self._pid_profile[q]
             if name is not None:
                 avail[name] = avail.get(name, 0) + 1
-        names = sorted(avail)
         if sum(avail.values()) < k:
             return 0.0  # not enough co-runners: conservative floor
-        best = None
-        for combo in _it.combinations_with_replacement(names, k):
-            ok = True
-            for name in set(combo):
-                if combo.count(name) > avail[name]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            d = self.degradation_by_names(me, combo)
-            if best is None or d < best:
-                best = d
-        return best if best is not None else 0.0
+        return min(
+            self.degradation_by_names(me, combo)
+            for combo in _bounded_multisets(sorted(avail.items()), k)
+        )
+
+
+def _bounded_multisets(
+    counts: Sequence[Tuple[str, int]], k: int
+) -> Iterator[Tuple[str, ...]]:
+    """Every sorted k-multiset drawing name ``n`` at most ``c`` times, for
+    ``(n, c)`` in ``counts`` (sorted by name), in lexicographic order.
+
+    Recursing over names with a count in ``0..min(c, remaining)`` visits
+    only feasible multisets, where filtering
+    ``combinations_with_replacement`` would generate C(P + k - 1, k)
+    candidates for P names; a branch whose later names cannot fill the
+    remaining slots is cut before it is entered.
+    """
+    supply = [0] * (len(counts) + 1)
+    for i in range(len(counts) - 1, -1, -1):
+        supply[i] = supply[i + 1] + counts[i][1]
+
+    def walk(i: int, left: int) -> Iterator[Tuple[str, ...]]:
+        if left == 0:
+            yield ()
+            return
+        name, avail = counts[i]
+        for take in range(min(avail, left), -1, -1):
+            if supply[i + 1] < left - take:
+                break
+            head = (name,) * take
+            for rest in walk(i + 1, left - take):
+                yield head + rest
+
+    if supply[0] >= k:
+        yield from walk(0, k)
 
 
 class MatrixDegradationModel(CacheDegradationModel):

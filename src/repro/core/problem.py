@@ -281,6 +281,33 @@ class CoSchedulingProblem:
         self._machine_node_cache[key] = w
         return w
 
+    def machine_node_weights_batch(
+        self, k: int, nodes: Sequence[Tuple[int, ...]]
+    ) -> np.ndarray:
+        """:meth:`machine_node_weight` for many groups on machine ``k`` at
+        once: one :meth:`node_weights_batch` call with the memo off (the
+        search's frontiers are throw-away) scaled by ``machine_scale[k]``,
+        plus each constraint's :meth:`penalties
+        <repro.core.constraints.ScenarioConstraint.penalties>`.
+
+        Agrees with the scalar method to floating-point round-off.  Rows
+        must be sorted pid tuples, as for :meth:`node_weights_batch`.
+        """
+        nodes = list(nodes)
+        w = self.machine_scale[k] * self.node_weights_batch(nodes, memo=False)
+        if self.constraints and nodes:
+            arr = np.asarray(nodes, dtype=np.intp)
+            for c in self.constraints:
+                p = c.penalties(k, arr)
+                negative = p < 0
+                if negative.any():
+                    raise ValueError(
+                        f"constraint {type(c).__name__} returned a negative "
+                        f"penalty {p[negative][0]} for machine {k}"
+                    )
+                w += p
+        return w
+
     def make_schedule(self, groups: Sequence[Sequence[int]]) -> "CoSchedule":
         """Build a :class:`CoSchedule` from machine-indexed groups
         (``groups[k]`` runs on machine ``k``).

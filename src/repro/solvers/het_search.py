@@ -36,6 +36,20 @@ ignored, keeping h admissible).  HA*'s MER trimming carries over as a
 per-expansion cap of ``ceil(beam_factor * n_machines)`` cheapest
 successors; budget-stopped runs greedily complete the most promising
 partial assignment, preserving the anytime contract.
+
+Scoring
+-------
+
+An expansion enumerates every candidate group for its slot once and
+scores them all with one
+:meth:`~repro.core.problem.CoSchedulingProblem.machine_node_weights_batch`
+call: the degradation model's batch kernel (or its memoized scalar
+fallback), the machine's scaling factor and every constraint's vectorized
+penalties.  The MER trim keeps the cheapest rows with
+:func:`~repro.perf.kernels.select_smallest`, a stable selection: groups are
+enumerated in lexicographic order, so weight ties break by group exactly as
+a ``(weight, group)`` sort would.  The greedy completion scores each slot's
+candidates the same way.
 """
 
 from __future__ import annotations
@@ -45,7 +59,10 @@ import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.problem import CoSchedulingProblem
+from ..perf import kernels as _kernels
 from .base import SolveResult
 
 __all__ = ["solve_het"]
@@ -81,10 +98,10 @@ def _greedy_complete(
         k, cap, _ = plan[s]
         n_combos = math.comb(len(remaining), cap)
         if n_combos <= _GREEDY_COMBO_LIMIT:
-            best = min(
-                itertools.combinations(remaining, cap),
-                key=lambda node: problem.machine_node_weight(k, node),
-            )
+            combos = list(itertools.combinations(remaining, cap))
+            # argmin keeps the first minimum, as min() over the combos did.
+            weights = problem.machine_node_weights_batch(k, combos)
+            best = combos[int(np.argmin(weights))]
         else:
             best = tuple(remaining[:cap])
         groups.append(best)
@@ -183,15 +200,17 @@ def solve_het(search, problem: CoSchedulingProblem) -> SolveResult:
         eligible = [p for p in range(floor + 1, n) if not (mask >> p) & 1]
         if len(eligible) < cap:
             continue  # dead end: leader rule starved this run
-        succs = []
-        for node in itertools.combinations(eligible, cap):
-            w = problem.machine_node_weight(k, node)
-            succs.append((w, node))
-        if node_limit is not None and len(succs) > node_limit:
-            succs.sort()
-            succs = succs[:node_limit]
+        nodes = list(itertools.combinations(eligible, cap))
+        weights = problem.machine_node_weights_batch(k, nodes)
+        if node_limit is not None and len(nodes) > node_limit:
+            keep = _kernels.select_smallest(weights, node_limit).tolist()
+        else:
+            keep = range(len(nodes))
+        weights = weights.tolist()
         next_slot = slot + 1
-        for w, node in succs:
+        for i in keep:
+            w = weights[i]
+            node = nodes[i]
             child_mask = mask
             child_dmin = rem_dmin
             for p in node:

@@ -79,6 +79,42 @@ class TestSDCModel:
             )
             assert floor == pytest.approx(actual_min)
 
+    def test_min_degradation_matches_generate_and_filter(self):
+        """The bounded-multiset floor equals filtering every
+        ``combinations_with_replacement`` candidate by availability, on
+        random universes where profiles repeat."""
+        import itertools
+        import random
+
+        def generate_and_filter(model, pid, universe, k):
+            me = model._pid_profile[pid]
+            avail = {}
+            for q in universe:
+                if q != pid:
+                    name = model._pid_profile[q]
+                    avail[name] = avail.get(name, 0) + 1
+            if k == 0 or sum(avail.values()) < k:
+                return 0.0
+            return min(
+                model.degradation_by_names(me, combo)
+                for combo in itertools.combinations_with_replacement(
+                    sorted(avail), k)
+                if all(combo.count(nm) <= avail[nm] for nm in set(combo))
+            )
+
+        rng = random.Random(11)
+        pool = ["BT", "CG", "EP", "FT", "IS", "art", "MG"]
+        for _ in range(12):
+            names = [rng.choice(pool[:rng.randint(2, len(pool))])
+                     for _ in range(rng.randint(3, 10))]
+            _wl, model = sdc_model(names)
+            universe = rng.sample(range(len(names)), rng.randint(2, len(names)))
+            pid = rng.choice(universe)
+            for k in range(0, 5):
+                assert model.min_degradation(pid, universe, k) == (
+                    generate_and_filter(model, pid, universe, k)
+                ), (names, universe, pid, k)
+
 
 class TestMatrixModel:
     def test_pairwise_additive(self):

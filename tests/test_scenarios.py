@@ -8,11 +8,15 @@ capable solver agrees with brute force, every incapable solver refuses
 structurally before searching.
 """
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.core.constraints import (
     BandwidthCapConstraint,
     CachePartitionModel,
+    ScenarioConstraint,
     constraint_from_dict,
     constraint_to_dict,
 )
@@ -213,6 +217,102 @@ class TestScenarioProblem:
         sched = other.make_schedule([[0, 1, 2, 3], [4, 5]])
         with pytest.raises(ValueError, match="make_schedule"):
             evaluate_schedule(p, sched)
+
+
+class _EveryOtherGroup(ScenarioConstraint):
+    """A third-party constraint that defines ``penalty`` only: it charges
+    ``cost`` for groups whose leader is even."""
+
+    kind = "every_other"
+
+    def __init__(self, cost):
+        self.cost = cost
+
+    def penalty(self, machine_idx, node):
+        return self.cost if node[0] % 2 == 0 else 0.0
+
+
+def _with_cache_partition(problem, rng):
+    """``problem`` plus a CachePartitionModel whose random footprints
+    overcommit some groups on every machine."""
+    cache = min(m.shared_cache.size_bytes / m.cores for m in problem.machines)
+    partition = CachePartitionModel.for_cluster(
+        footprints=rng.uniform(0.0, 2.5 * cache, size=problem.n).tolist(),
+        machines=problem.machines, weight=0.7,
+    )
+    return CoSchedulingProblem(
+        problem.workload, problem.cluster, problem.model,
+        constraints=problem.constraints + (partition,),
+        machine_scaling=problem.machine_scale,
+    )
+
+
+def _sample_groups(problem, k, rng, limit=150):
+    groups = list(itertools.combinations(range(problem.n), problem.capacities[k]))
+    picks = rng.choice(len(groups), size=min(limit, len(groups)), replace=False)
+    return [groups[i] for i in sorted(picks)]
+
+
+class TestBatchScoring:
+    """``machine_node_weights_batch`` is the search's one scoring path;
+    the scalar ``machine_node_weight`` is the reference."""
+
+    ROSTERS = (
+        (("dual", "quad"), (1.2e9, None)),
+        (("quad", "eight"), (None, 3.0e9)),
+        (("quad", "quad", "eight"), (None, 1.6e9, None)),
+        (("dual", "dual", "quad"), (0.8e9, None, 2.0e9)),
+    )
+
+    @pytest.mark.parametrize("machines,caps", ROSTERS)
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_batch_matches_scalar(self, machines, caps, seed):
+        rng = np.random.default_rng(seed)
+        p = _with_cache_partition(random_heterogeneous_instance(
+            machines, seed=seed, bandwidth_caps=caps, clock_scaling=True,
+        ), rng)
+        penalized = 0
+        for k in range(p.n_machines):
+            nodes = _sample_groups(p, k, rng)
+            batch = p.machine_node_weights_batch(k, nodes)
+            scalar = [p.machine_node_weight(k, node) for node in nodes]
+            assert batch == pytest.approx(scalar, rel=0, abs=1e-12)
+            arr = np.asarray(nodes)
+            for c in p.constraints:
+                vec = c.penalties(k, arr)
+                assert vec.tolist() == [c.penalty(k, node) for node in nodes]
+                penalized += int((vec > 0).sum())
+        assert penalized > 0  # the penalties were really exercised
+
+    def test_batch_matches_scalar_on_the_sdc_fallback(self):
+        p = bandwidth_capped_mix()
+        assert not p.supports_batch_weights()
+        for k in range(p.n_machines):
+            nodes = list(itertools.combinations(range(p.n), p.capacities[k]))
+            batch = p.machine_node_weights_batch(k, nodes)
+            assert batch == pytest.approx(
+                [p.machine_node_weight(k, node) for node in nodes],
+                rel=0, abs=1e-12,
+            )
+
+    def test_penalty_only_constraint_gets_batch_penalties(self):
+        c = _EveryOtherGroup(0.25)
+        nodes = np.array([[0, 1], [1, 2], [2, 5], [3, 4]])
+        assert c.penalties(0, nodes).tolist() == [0.25, 0.0, 0.25, 0.0]
+        p = roster_problem(("dual", "quad"), constraints=(c,))
+        groups = list(itertools.combinations(range(6), 4))
+        assert p.machine_node_weights_batch(1, groups) == pytest.approx(
+            [p.machine_node_weight(1, g) for g in groups], rel=0, abs=1e-12
+        )
+
+    def test_negative_penalty_rejected_on_both_paths(self):
+        p = roster_problem(("dual", "quad"), constraints=(_EveryOtherGroup(-1.0),))
+        with pytest.raises(ValueError, match="negative penalty -1.0 for machine 0"):
+            p.machine_node_weight(0, (0, 3))
+        with pytest.raises(ValueError, match="negative penalty -1.0 for machine 0"):
+            p.machine_node_weights_batch(0, [(1, 3), (2, 3)])
+        # A batch without an offending group scores normally.
+        assert len(p.machine_node_weights_batch(0, [(1, 2), (3, 4)])) == 2
 
 
 EXACT = ("brute", "oastar", "osvp")
