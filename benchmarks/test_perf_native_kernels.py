@@ -39,7 +39,7 @@ def best_of(fn, repeats=REPEATS):
 
 @pytest.fixture(scope="module")
 def impl():
-    backend = native.load_numba_backend() or native.load_cc_backend()
+    backend = native.load_cc_backend()
     if backend is None:
         pytest.skip("no native kernel provider on this host")
     return backend

@@ -60,8 +60,16 @@ class CacheDegradationModel(abc.ABC):
         """True when :meth:`node_weights_batch` is vectorized (one NumPy
         kernel per call) rather than the generic scalar loop — the signal
         the graph layers use to decide whether chunked batch scoring is
-        worth routing weights through."""
-        return False
+        worth routing weights through.  Pressure-form models are."""
+        return self.pressure_terms() is not None
+
+    def pressure_terms(self):
+        """``(sens, aggr, kappa, saturation)`` when the model has the
+        pressure form ``d_{i,S} = sens_i · κ · φ(Σ_{j∈S} aggr_j)``, else
+        None.  ``saturation`` None is the linear ``φ(x) = x``; otherwise
+        ``φ(x) = s · (1 − exp(−x/s))``.  These are the arguments of the
+        ``pressure_node_weights`` and ``pressure_monotone_topk`` kernels."""
+        return None
 
     def node_weights_batch(self, nodes) -> np.ndarray:
         """Cache-contention node weights ``Σ_i d_{i, T∖i}`` for many nodes.
@@ -69,14 +77,19 @@ class CacheDegradationModel(abc.ABC):
         ``nodes`` is an ``(N, u)`` array-like of process ids (each row one
         node; row order within a node is irrelevant).  Returns a length-N
         float array matching the scalar ``cache_degradation`` sum to
-        floating-point round-off.  This generic implementation loops;
-        vectorized overrides exist on :class:`MissRatePressureModel`,
-        :class:`MatrixDegradationModel` (pairwise tables) and
-        :class:`AsymmetricContentionModel`.
+        floating-point round-off.  Pressure-form models (see
+        :meth:`pressure_terms`) score all rows in one kernel call; other
+        models loop here unless they override it
+        (:class:`MatrixDegradationModel` does for pairwise tables).
         """
         nodes = np.asarray(nodes, dtype=np.intp)
         if nodes.ndim != 2:
             raise ValueError("nodes must be a 2-D (N, u) array of pids")
+        terms = self.pressure_terms()
+        if terms is not None:
+            sens, aggr, kappa, saturation = terms
+            return _kernels.pressure_node_weights(sens, aggr, nodes, kappa,
+                                                  saturation)
         out = np.empty(len(nodes), dtype=float)
         for r in range(len(nodes)):
             members = frozenset(int(p) for p in nodes[r])
@@ -548,22 +561,9 @@ class MissRatePressureModel(CacheDegradationModel):
             return float(self.kappa * (s * s - sum(v * v for v in vals)))
         return float(self.kappa * sum(v * self.phi(s - v) for v in vals))
 
-    def supports_batch(self) -> bool:
-        return True
-
-    def node_weights_batch(self, nodes) -> np.ndarray:
-        """Vectorized node weights: one gather + reduction for N nodes.
-
-        ``Σ_i m_i κ φ(S − m_i)`` with ``S`` the row pressure sum — the batch
-        form of :meth:`node_weight_fast`.
-        """
-        nodes = np.asarray(nodes, dtype=np.intp)
-        if nodes.ndim != 2:
-            raise ValueError("nodes must be a 2-D (N, u) array of pids")
-        return _kernels.pressure_node_weights(
-            self.miss_rates, self.miss_rates, nodes, self.kappa,
-            self.saturation,
-        )
+    def pressure_terms(self):
+        return (self.miss_rates, self.miss_rates, self.kappa,
+                self.saturation)
 
 
 class AsymmetricContentionModel(CacheDegradationModel):
@@ -685,14 +685,5 @@ class AsymmetricContentionModel(CacheDegradationModel):
             self.kappa * sum(self.s[i] * self.phi(A - self.a[i]) for i in members)
         )
 
-    def supports_batch(self) -> bool:
-        return True
-
-    def node_weights_batch(self, nodes) -> np.ndarray:
-        """Vectorized ``Σ_i s_i κ φ(A_T − a_i)`` over N nodes at once."""
-        nodes = np.asarray(nodes, dtype=np.intp)
-        if nodes.ndim != 2:
-            raise ValueError("nodes must be a 2-D (N, u) array of pids")
-        return _kernels.pressure_node_weights(
-            self.s, self.a, nodes, self.kappa, self.saturation,
-        )
+    def pressure_terms(self):
+        return (self.s, self.a, self.kappa, self.saturation)

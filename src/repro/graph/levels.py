@@ -120,6 +120,10 @@ class SuccessorGenerator:
             and callable(getattr(model, "node_weight_fast", None))
             and self._has_pressure(model)
         )
+        # Per-pid rank keys of the lazy enumerator, looked up per level.
+        self._rank_keys: List[float] = []
+        if self._monotone_ok or self._proxy_ok:
+            self._rank_keys = [model.pressure(pid) for pid in range(problem.n)]
         # Presorted levels: the paper's graph organization — materialize
         # every node once, sort each level by weight, and filter validity
         # per state.  Exact ascending order for ANY model, at the cost of
@@ -355,28 +359,61 @@ class SuccessorGenerator:
         k = self.problem.u - 1
         if len(rest) < k:
             return
-        model = self.problem.model
-        if isinstance(model, MissRatePressureModel):
-            def weight(sub: Tuple[int, ...]) -> float:
-                return model.node_weight_fast((level_pid,) + sub)
-        else:  # pragma: no cover - no other monotone model shipped
-            def weight(sub: Tuple[int, ...]) -> float:
-                return self.problem.node_weight((level_pid,) + sub)
-        weight_batch = self._make_weight_batch(level_pid, k)
-        for sub, w in iter_subsets_monotone(rest, k, weight, model.pressure,
-                                            weight_batch=weight_batch):
+        for item in self._iter_lazy(level_pid, rest, k, 64):
             self.stats["generated"] += 1
+            yield item
+
+    def _iter_lazy(
+        self, level_pid: int, rest: Tuple[int, ...], k: int, first: int
+    ) -> Iterator[Tuple[Tuple[int, ...], float]]:
+        """Successors of a level in the lazy enumerator's order (ascending
+        weight for member-monotone models).
+
+        With compiled kernels, pressure-form models (:meth:`~repro.core
+        .degradation.CacheDegradationModel.pressure_terms`) take the
+        entries from ``pressure_monotone_topk``: ``first`` of them in one
+        call, then four times as many per further call (see
+        :func:`iter_subsets_monotone`).  Otherwise — models without
+        pressure terms (the pairwise proxy, split-search restrictions), or
+        the NumPy provider, whose top-L *is* the Python heap — the heap of
+        :func:`iter_subsets_monotone` streams directly, scoring each pop's
+        children in one batch, so no prefix is ever recomputed.  Both bypass the problem memo — lazy
+        frontiers are throw-away — so extra node costs must be absent,
+        matching the ``node_weight_fast`` streaming contract.
+        """
+        model = self.problem.model
+        terms = model.pressure_terms()
+        topk = None
+        if terms is not None and _kernels.active_backend() == "native":
+            counters = self.problem.counters
+
+            def topk(ordered, count):
+                subsets, weights = _kernels.pressure_monotone_topk(
+                    np.asarray(ordered, dtype=np.int64), level_pid, k,
+                    *terms, count,
+                )
+                counters.observe_batch("lazy_frontier", len(weights))
+                return subsets, weights
+
+        fast = getattr(model, "node_weight_fast", None)
+        score = fast if callable(fast) else self.problem.node_weight
+
+        def weight(sub: Tuple[int, ...]) -> float:
+            return score((level_pid,) + sub)
+
+        for sub, w in iter_subsets_monotone(
+            rest, k, weight, self._rank_keys.__getitem__,
+            weight_batch=self._make_weight_batch(level_pid, k),
+            topk=topk, first=first,
+        ):
             yield (tuple(sorted((level_pid,) + sub)), w)
 
     def _make_weight_batch(self, level_pid: int, k: int):
-        """Child-frontier scoring closure for the lazy heap enumerator.
+        """Child-frontier scoring closure for the Python heap enumerator.
 
         Maps a batch of (u-1)-subsets to full nodes and runs ONE vectorized
         model-kernel call; None when the model has no vectorized kernel
         (the enumerator then falls back to scalar ``weight`` calls).
-        Bypasses the problem memo — lazy frontiers are throw-away — which
-        also means extra node costs must be absent, matching the existing
-        ``node_weight_fast`` streaming contract.
         """
         model = self.problem.model
         if not model.supports_batch():
@@ -403,21 +440,9 @@ class SuccessorGenerator:
         sorted, so we oversample 4x and keep the ``limit`` lowest true
         weights — the documented approximation HA* uses at scale.
         """
-        model = self.problem.model
-        if callable(getattr(model, "node_weight_fast", None)):
-            def weight(sub: Tuple[int, ...]) -> float:
-                return model.node_weight_fast((level_pid,) + sub)
-        else:  # pragma: no cover - defensive
-            def weight(sub: Tuple[int, ...]) -> float:
-                return self.problem.node_weight((level_pid,) + sub)
-        weight_batch = self._make_weight_batch(level_pid, k)
         take = limit if self._monotone_ok else 4 * limit
-        out = []
-        for sub, w in iter_subsets_monotone(rest, k, weight, model.pressure,
-                                            weight_batch=weight_batch):
-            out.append((tuple(sorted((level_pid,) + sub)), w))
-            if len(out) >= take:
-                break
+        out = list(itertools.islice(
+            self._iter_lazy(level_pid, rest, k, take), take))
         if not self._monotone_ok and len(out) > limit:
             out = heapq.nsmallest(limit, out, key=lambda t: (t[1], t[0]))
         self.stats["generated"] += len(out)

@@ -11,85 +11,25 @@ k-smallest-sums algorithm.
 
 :func:`iter_subsets_by_weight` dispatches between the lazy enumerator and an
 exact sort-everything fallback for arbitrary weight functions at small n.
+
+:func:`iter_subsets_monotone` lives in
+:mod:`repro.perf.kernels.numpy_backend` and is re-exported here.  It is the
+reference of the compiled ``pressure_monotone_topk`` kernel, and with
+compiled kernels :class:`~repro.graph.levels.SuccessorGenerator` streams
+pressure-form levels through its ``topk`` hook, one kernel call per
+growing prefix.  The kernels' import-time self-check runs it; importing
+it from this package there would be circular (the graph modules import
+the degradation models, which import the kernels).
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
+from ..perf.kernels.numpy_backend import iter_subsets_monotone
+
 __all__ = ["iter_subsets_monotone", "iter_subsets_exact", "iter_subsets_by_weight"]
-
-
-def iter_subsets_monotone(
-    items: Sequence[int],
-    k: int,
-    weight: Callable[[Tuple[int, ...]], float],
-    rank_key: Callable[[int], float],
-    weight_batch: Optional[Callable[[List[Tuple[int, ...]]], Sequence[float]]] = None,
-) -> Iterator[Tuple[Tuple[int, ...], float]]:
-    """Yield k-subsets of ``items`` in non-decreasing ``weight`` order.
-
-    Requires member-wise monotonicity of ``weight`` with respect to
-    ``rank_key``: swapping a member for an item of higher rank key must never
-    decrease the weight.  Under that contract the heap frontier property
-    holds and subsets pop in exactly ascending weight.
-
-    Yields ``(subset, weight)`` with subsets as tuples of items (in rank
-    order).  Lazily explores only what is consumed: taking the first ``t``
-    subsets costs ``O(t * k * log)`` heap operations.
-
-    ``weight_batch``, when given, scores each pop's child frontier (up to
-    ``k`` new subsets) with ONE call instead of ``k`` scalar ``weight``
-    calls — the hook the vectorized degradation kernels plug into.  It must
-    agree with ``weight`` on every subset.
-    """
-    n = len(items)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        yield ((), 0.0)
-        return
-    if k > n:
-        return
-    ordered = sorted(items, key=rank_key)
-
-    def subset_of(index_tuple: Tuple[int, ...]) -> Tuple[int, ...]:
-        return tuple(ordered[i] for i in index_tuple)
-
-    start = tuple(range(k))
-    if weight_batch is not None:
-        w0 = float(weight_batch([subset_of(start)])[0])
-    else:
-        w0 = weight(subset_of(start))
-    heap: List[Tuple[float, Tuple[int, ...]]] = [(w0, start)]
-    seen = {start}
-    while heap:
-        w, idx = heapq.heappop(heap)
-        yield (subset_of(idx), w)
-        # Successors: advance any single index while keeping strict ascent.
-        frontier: List[Tuple[int, ...]] = []
-        for j in range(k):
-            nxt = idx[j] + 1
-            if j + 1 < k and nxt >= idx[j + 1]:
-                continue
-            if nxt >= n:
-                continue
-            child = idx[:j] + (nxt,) + idx[j + 1 :]
-            if child in seen:
-                continue
-            seen.add(child)
-            frontier.append(child)
-        if not frontier:
-            continue
-        if weight_batch is not None:
-            ws = weight_batch([subset_of(c) for c in frontier])
-            for child, cw in zip(frontier, ws):
-                heapq.heappush(heap, (float(cw), child))
-        else:
-            for child in frontier:
-                heapq.heappush(heap, (weight(subset_of(child)), child))
 
 
 def iter_subsets_exact(

@@ -29,7 +29,7 @@ The document records, for this working tree and this machine:
   and the three quality flags (never worse than PG per seed; median
   no worse than anneal and than hill per point);
 * **provenance** — git revision, kernel backend (``native`` | ``numpy``),
-  provider (``cc``/``numba``/``numpy``), and the ``COSCHED_NATIVE``
+  provider (``cc``/``numpy``), and the ``COSCHED_NATIVE``
   opt-out state;
 * **trajectory** — the newest *other* ``BENCH_*.json`` in the results
   directory is loaded as the committed baseline and the solve-latency

@@ -1,24 +1,24 @@
 """``repro.perf.kernels`` — the compiled batch-kernel backend.
 
 Profiling (PR 1, ``benchmarks/test_perf_batch_kernels.py``) shows solve
-time is dominated by three batch primitives: the gather+einsum node-weight
-kernels, the SDC merge walk, and the MER score-then-select level trim.
-This package gives each a compiled implementation while keeping the
-historical NumPy expressions as a byte-for-byte-equivalent fallback:
+time is dominated by a few batch primitives: the gather+einsum node-weight
+kernels, the lazy best-first level enumeration that feeds them, the SDC
+merge walk, and the MER score-then-select level trim.  This package gives
+each a compiled implementation while keeping the historical NumPy/Python
+expressions as the byte-for-byte reference:
 
 * :mod:`~repro.perf.kernels.numpy_backend` — pure NumPy, always available,
   the semantic reference;
-* :mod:`~repro.perf.kernels.native` — numba-jitted kernels (installed via
-  the ``[native]`` extra) or a zero-dependency C library compiled once
-  with the system ``cc`` and loaded through ctypes.
+* :mod:`~repro.perf.kernels.native` — a zero-dependency C library compiled
+  once with the system ``cc`` and loaded through ctypes.
 
 **Selection happens once, at import time.**  ``COSCHED_NATIVE=0`` (or
 ``false``/``no``/``off``) forces the NumPy fallback;
-``COSCHED_KERNEL_BACKEND=numba|cc|numpy`` pins a specific provider.
-Otherwise numba is preferred when importable, then the cc build; a
-provider is adopted only after passing a self-check against the NumPy
-backend on small randomized inputs, so a broken compiler or miscompiled
-library degrades to the fallback instead of corrupting results.
+``COSCHED_KERNEL_BACKEND=cc|numpy`` pins a specific provider.  Otherwise
+the cc build is used when it compiles; it is adopted only after passing a
+self-check against the NumPy backend on small randomized inputs, so a
+broken compiler or miscompiled library degrades to the fallback instead of
+corrupting results.
 
 Every caller (degradation models, the SDC merge, level expansion) imports
 the module-level functions below, which dispatch to the active backend.
@@ -31,7 +31,7 @@ measurement names the path that produced it.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "backend_info",
     "native_disabled",
     "pairwise_node_weights",
+    "pressure_monotone_topk",
     "pressure_node_weights",
     "sdc_merge_ways",
     "select_smallest",
@@ -73,12 +74,23 @@ def _self_check(impl) -> bool:
             return False
         m = rng.uniform(0.15, 0.75, size=n)
         a = rng.uniform(0.15, 0.75, size=n)
+        ordered = np.argsort(m[1:], kind="stable") + 1
         for sens, aggr in ((m, m), (m, a)):
             for sat in (None, 0.9):
                 ref = numpy_backend.pressure_node_weights(
                     sens, aggr, nodes, 0.31, sat)
                 got = impl.pressure_node_weights(sens, aggr, nodes, 0.31, sat)
                 if not np.allclose(ref, got, rtol=0, atol=1e-12):
+                    return False
+                # Top-L of level 0 over pids 1..8: 40 of the C(8, 3) = 56
+                # subsets, so the enumeration stops mid-level.
+                args = (ordered, 0, u, sens, aggr, 0.31, sat, 40)
+                ref_s, ref_w = numpy_backend.pressure_monotone_topk(*args)
+                got_s, got_w = impl.pressure_monotone_topk(*args)
+                if not (
+                    np.array_equal(ref_s, got_s)
+                    and np.allclose(ref_w, got_w, rtol=0, atol=1e-12)
+                ):
                     return False
         # Large enough (k*assoc >= the cc backend's marshalling cutoff)
         # that the compiled walk actually runs, and again tiny so the
@@ -117,17 +129,11 @@ def _select_backend():
     pinned = os.environ.get("COSCHED_KERNEL_BACKEND", "").strip().lower()
     if pinned == "numpy":
         return numpy_backend, info
-    loaders = {"numba": native.load_numba_backend, "cc": native.load_cc_backend}
-    if pinned in loaders:
-        order = [pinned]
-    else:
-        order = ["numba", "cc"]
-    for name in order:
-        impl = loaders[name]()
-        if impl is not None and _self_check(impl):
-            info["backend"] = "native"
-            info["provider"] = impl.provider
-            return impl, info
+    impl = native.load_cc_backend()
+    if impl is not None and _self_check(impl):
+        info["backend"] = "native"
+        info["provider"] = impl.provider
+        return impl, info
     return numpy_backend, info
 
 
@@ -140,7 +146,7 @@ def active_backend() -> str:
 
 
 def backend_info() -> Dict[str, object]:
-    """Details for reports: backend, provider (numba/cc/numpy), opt-out."""
+    """Details for reports: backend, provider (cc/numpy), opt-out."""
     return dict(_INFO)
 
 
@@ -159,6 +165,28 @@ def pressure_node_weights(
 ) -> np.ndarray:
     """Batch ``sum_i s_i * kappa * phi(A_T - a_i)`` node weights."""
     return _IMPL.pressure_node_weights(sens, aggr, nodes, kappa, saturation)
+
+
+def pressure_monotone_topk(
+    ordered: np.ndarray,
+    level_pid: int,
+    k: int,
+    sens: np.ndarray,
+    aggr: np.ndarray,
+    kappa: float,
+    saturation: Optional[float],
+    L: int,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """First ``L`` k-subsets of the rank-ordered candidates ``ordered`` in
+    lazy best-first order, scored as node rows ``[level_pid, *subset]``.
+
+    The order is :func:`~repro.graph.subset_enum.iter_subsets_monotone`'s:
+    ascending weight for member-monotone weights, the same approximate
+    order for proxy ranks.  Returns ``(subsets, weights)`` — an ``(M, k)``
+    pid array (members in rank order) and ``M = min(L, C(m, k))`` weights.
+    """
+    return _IMPL.pressure_monotone_topk(ordered, level_pid, k, sens, aggr,
+                                        kappa, saturation, L)
 
 
 def sdc_merge_ways(

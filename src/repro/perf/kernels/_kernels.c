@@ -8,6 +8,9 @@
  *   - pressure_node_weights : the shared miss-rate / asymmetric kernel
  *     sum_i s_i * kappa * phi(A_T - a_i) (NumPy needs three (N, u)
  *     temporaries plus an einsum; here one pass, no temporaries);
+ *   - pressure_monotone_topk: the first L subsets of a graph level in the
+ *     lazy best-first order of iter_subsets_monotone, scored with the same
+ *     row function -- one call per level instead of one per heap pop;
  *   - sdc_merge_ways        : Chandra et al.'s SDC position-by-position
  *     merge walk (a pure-Python double loop in the fallback);
  *   - select_smallest       : bounded selection of the k lowest weights
@@ -23,6 +26,7 @@
  */
 
 #include <stdint.h>
+#include <stdlib.h>
 #include <math.h>
 
 /* Node weights from a pairwise degradation table.
@@ -44,31 +48,203 @@ void pairwise_node_weights(const double *P, int64_t n_procs,
     }
 }
 
-/* sum_i sens[i] * kappa * phi(sum_{j != i} aggr[j]) per node.
+/* sum_i sens[i] * kappa * phi(sum_{j != i} aggr[j]) for one node row.
  * saturation <= 0 selects the linear response phi(x) = x;
- * MissRatePressureModel passes sens == aggr (the miss-rate vector). */
+ * MissRatePressureModel passes sens == aggr (the miss-rate vector).
+ * The one definition of a pressure node weight: both kernels below call
+ * it, so a level scored by either is bit-identical.  Forced inline: as a
+ * call per row it costs the batch kernel about a fifth of its speed on
+ * large linear batches. */
+static inline __attribute__((always_inline)) double
+pressure_row(const double *sens, const double *aggr, const int64_t *row,
+             int64_t u, double kappa, double saturation)
+{
+    double asum = 0.0;
+    for (int64_t i = 0; i < u; i++)
+        asum += aggr[row[i]];
+    double total = 0.0;
+    if (saturation > 0.0) {
+        for (int64_t i = 0; i < u; i++) {
+            double others = asum - aggr[row[i]];
+            total += sens[row[i]] *
+                     (saturation * (1.0 - exp(-others / saturation)));
+        }
+    } else {
+        for (int64_t i = 0; i < u; i++)
+            total += sens[row[i]] * (asum - aggr[row[i]]);
+    }
+    return kappa * total;
+}
+
 void pressure_node_weights(const double *sens, const double *aggr,
                            const int64_t *nodes, int64_t N, int64_t u,
                            double kappa, double saturation, double *out)
 {
-    for (int64_t r = 0; r < N; r++) {
-        const int64_t *row = nodes + r * u;
-        double asum = 0.0;
-        for (int64_t i = 0; i < u; i++)
-            asum += aggr[row[i]];
-        double total = 0.0;
-        if (saturation > 0.0) {
-            for (int64_t i = 0; i < u; i++) {
-                double others = asum - aggr[row[i]];
-                total += sens[row[i]] *
-                         (saturation * (1.0 - exp(-others / saturation)));
-            }
-        } else {
-            for (int64_t i = 0; i < u; i++)
-                total += sens[row[i]] * (asum - aggr[row[i]]);
-        }
-        out[r] = kappa * total;
+    for (int64_t r = 0; r < N; r++)
+        out[r] = pressure_row(sens, aggr, nodes + r * u, u, kappa,
+                              saturation);
+}
+
+/* Scratch of the top-L enumeration: index tuples, weights, the heap and
+ * the seen-set, all sized for its 1 + (L - 1) * k entry bound. */
+typedef struct {
+    int64_t k;
+    int64_t *idx;   /* entry e's index tuple is idx[e*k .. e*k+k) */
+    double *w;      /* entry e's weight */
+    int64_t *heap;  /* binary min-heap of entry ids */
+    int64_t *table; /* open-addressing seen-set of entry ids, -1 = empty */
+    uint64_t mask;  /* table size - 1 (a power of two) */
+    int64_t used, size;
+} topk_state;
+
+static int topk_less(const topk_state *S, int64_t a, int64_t b)
+{
+    if (S->w[a] != S->w[b])
+        return S->w[a] < S->w[b];
+    const int64_t *ia = S->idx + a * S->k, *ib = S->idx + b * S->k;
+    for (int64_t j = 0; j < S->k; j++)
+        if (ia[j] != ib[j])
+            return ia[j] < ib[j];
+    return 0;
+}
+
+static void topk_swap(int64_t *heap, int64_t a, int64_t b)
+{
+    int64_t t = heap[a];
+    heap[a] = heap[b];
+    heap[b] = t;
+}
+
+/* The tuple in slot `used` is a candidate: if unseen, register it, score
+ * the row [level_pid, ordered[idx...]] and push it; else leave the slot
+ * free for the next candidate. */
+static void topk_admit(topk_state *S, const double *sens,
+                       const double *aggr, const int64_t *ordered,
+                       int64_t *row, double kappa, double saturation)
+{
+    int64_t k = S->k, e = S->used;
+    const int64_t *t = S->idx + e * k;
+    uint64_t h = 1469598103934665603ULL; /* FNV-1a over the indices */
+    for (int64_t j = 0; j < k; j++) {
+        h ^= (uint64_t)t[j];
+        h *= 1099511628211ULL;
     }
+    uint64_t s = (h ^ (h >> 29)) & S->mask;
+    while (S->table[s] >= 0) {
+        const int64_t *o = S->idx + S->table[s] * k;
+        int64_t j = 0;
+        while (j < k && o[j] == t[j])
+            j++;
+        if (j == k)
+            return;
+        s = (s + 1) & S->mask;
+    }
+    S->table[s] = e;
+    for (int64_t j = 0; j < k; j++)
+        row[j + 1] = ordered[t[j]];
+    S->w[e] = pressure_row(sens, aggr, row, k + 1, kappa, saturation);
+    S->used++;
+    int64_t c = S->size++;
+    S->heap[c] = e;
+    while (c > 0 && topk_less(S, S->heap[c], S->heap[(c - 1) / 2])) {
+        topk_swap(S->heap, c, (c - 1) / 2);
+        c = (c - 1) / 2;
+    }
+}
+
+static int64_t topk_pop(topk_state *S)
+{
+    int64_t *heap = S->heap;
+    int64_t top = heap[0];
+    heap[0] = heap[--S->size];
+    int64_t p = 0;
+    for (;;) {
+        int64_t l = 2 * p + 1, r = 2 * p + 2, best = p;
+        if (l < S->size && topk_less(S, heap[l], heap[best]))
+            best = l;
+        if (r < S->size && topk_less(S, heap[r], heap[best]))
+            best = r;
+        if (best == p)
+            return top;
+        topk_swap(heap, p, best);
+        p = best;
+    }
+}
+
+/* Best-first top-L enumeration of k-subsets for one graph level.
+ *
+ * ordered[0..m) are the candidate pids in rank (pressure) order; a subset
+ * is an ascending index tuple into it, scored as the node row
+ * [level_pid, ordered[idx0], ..., ordered[idx_{k-1}]].  Starting from
+ * (0, 1, ..., k-1), each pop yields its subset and pushes its children:
+ * advance one index, keeping strict ascent, unless the child was seen
+ * before.  Entries pop in (weight, index tuple) lexicographic order --
+ * the key heapq compares in iter_subsets_monotone -- so the yield order,
+ * the discovered set and therefore the order under non-monotone (proxy)
+ * weights all equal the Python enumerator's.
+ *
+ * Writes up to L subsets (pids, rank order, row-major L x k) and their
+ * weights; returns how many, or -1 when scratch allocation fails.  At most
+ * 1 + (L - 1) * k entries are ever scored. */
+int64_t pressure_monotone_topk(const double *sens, const double *aggr,
+                               const int64_t *ordered, int64_t m,
+                               int64_t level_pid, int64_t k,
+                               double kappa, double saturation, int64_t L,
+                               int64_t *out_subsets, double *out_w)
+{
+    if (L <= 0 || k > m)
+        return 0;
+    if (k == 0) { /* the empty subset, weight 0 as in the Python enumerator */
+        out_w[0] = 0.0;
+        return 1;
+    }
+    int64_t cap = 1 + (L - 1) * k;
+    uint64_t tsize = 1;
+    while (tsize < 2 * (uint64_t)cap)
+        tsize <<= 1;
+    topk_state S = {k, NULL, NULL, NULL, NULL, tsize - 1, 0, 0};
+    S.idx = malloc((size_t)(cap * k) * sizeof(int64_t));
+    S.w = malloc((size_t)cap * sizeof(double));
+    S.heap = malloc((size_t)cap * sizeof(int64_t));
+    S.table = malloc((size_t)tsize * sizeof(int64_t));
+    int64_t *row = malloc((size_t)(k + 1) * sizeof(int64_t));
+    int64_t produced = -1;
+    if (!S.idx || !S.w || !S.heap || !S.table || !row)
+        goto done;
+    for (uint64_t s = 0; s < tsize; s++)
+        S.table[s] = -1;
+    row[0] = level_pid;
+    for (int64_t j = 0; j < k; j++)
+        S.idx[j] = j;
+    topk_admit(&S, sens, aggr, ordered, row, kappa, saturation);
+    produced = 0;
+    while (S.size > 0) {
+        int64_t e = topk_pop(&S);
+        const int64_t *cur = S.idx + e * k;
+        for (int64_t j = 0; j < k; j++)
+            out_subsets[produced * k + j] = ordered[cur[j]];
+        out_w[produced] = S.w[e];
+        if (++produced == L)
+            break;
+        /* Children: advance one index, keeping strict ascent. */
+        for (int64_t j = 0; j < k; j++) {
+            int64_t nxt = cur[j] + 1;
+            if ((j + 1 < k && nxt >= cur[j + 1]) || nxt >= m)
+                continue;
+            int64_t *child = S.idx + S.used * k;
+            for (int64_t q = 0; q < k; q++)
+                child[q] = cur[q];
+            child[j] = nxt;
+            topk_admit(&S, sens, aggr, ordered, row, kappa, saturation);
+        }
+    }
+done:
+    free(S.idx);
+    free(S.w);
+    free(S.heap);
+    free(S.table);
+    free(row);
+    return produced;
 }
 
 /* SDC merge: partition `assoc` cache ways among k co-running processes.

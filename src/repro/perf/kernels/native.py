@@ -1,39 +1,41 @@
-"""Native kernel providers: a cc-compiled ctypes library, or numba.
+"""The native kernel provider: a cc-compiled ctypes library.
 
-Two ways to get compiled kernels, tried by the dispatcher in
-:mod:`repro.perf.kernels`:
+Zero-dependency: ``_kernels.c`` (shipped with the package) is compiled
+once with the system C compiler into a per-user cache directory keyed by
+the source hash, then loaded through :mod:`ctypes`.  Rebuilds happen only
+when the source changes.
 
-* **numba** — installed via the ``[native]`` optional extra
-  (``pip install repro[native]``); the jitted bodies mirror the C source.
-* **cc** — zero-dependency: ``_kernels.c`` (shipped with the package) is
-  compiled once with the system C compiler into a per-user cache directory
-  keyed by the source hash, then loaded through :mod:`ctypes`.  Rebuilds
-  happen only when the source changes.
-
-Both providers expose the exact call signatures of
+The provider exposes the exact call signatures of
 :mod:`repro.perf.kernels.numpy_backend` so the dispatcher can swap them
-freely; both are verified against the NumPy backend on tiny inputs before
+freely, and is verified against the NumPy backend on tiny inputs before
 being adopted (see ``_self_check`` in the package ``__init__``).  Any
-failure — no compiler, sandboxed tmpdir, broken numba — is contained here
-and reported as ``None``, never raised to import time.
+failure — no compiler, sandboxed tmpdir — is contained here and reported
+as ``None``, never raised to import time.
+
+Pointer arguments are declared ``c_void_p`` and passed as the raw
+``arr.ctypes.data`` address: building a typed ``POINTER`` object per
+argument (``data_as``) costs about twice as much per call, and at
+frontier sizes marshalling is most of a call.  Every array passed this way
+is a local of the wrapper, so it stays alive until the call returns.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
 from array import array
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import numpy_backend
 
-__all__ = ["load_cc_backend", "load_numba_backend"]
+__all__ = ["load_cc_backend"]
 
 _SRC = Path(__file__).with_name("_kernels.c")
 
@@ -47,8 +49,9 @@ _SDC_MAX_GROUP = 64
 #: itself.  Measured crossover is ~k=8, assoc=32.
 _SDC_MIN_WORK = 256
 
-_F64 = ctypes.POINTER(ctypes.c_double)
-_I64 = ctypes.POINTER(ctypes.c_int64)
+_P = ctypes.c_void_p
+_I = ctypes.c_int64
+_D = ctypes.c_double
 
 
 def _cache_dir() -> Path:
@@ -71,7 +74,9 @@ def _compile_library(source: Path) -> Optional[Path]:
         tmp = cache / f".build_{tag}_{os.getpid()}.so"
         cmd = [
             os.environ.get("CC", "cc"),
-            "-O3", "-fPIC", "-shared",
+            # No fused multiply-adds: every call site of the shared row
+            # function must round exactly alike.
+            "-O3", "-ffp-contract=off", "-fPIC", "-shared",
             "-o", str(tmp), str(source), "-lm",
         ]
         proc = subprocess.run(
@@ -92,23 +97,18 @@ class _CcBackend:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
-        lib.pairwise_node_weights.argtypes = [
-            _F64, ctypes.c_int64, _I64, ctypes.c_int64, ctypes.c_int64, _F64,
-        ]
-        lib.pairwise_node_weights.restype = None
-        lib.pressure_node_weights.argtypes = [
-            _F64, _F64, _I64, ctypes.c_int64, ctypes.c_int64,
-            ctypes.c_double, ctypes.c_double, _F64,
-        ]
-        lib.pressure_node_weights.restype = None
-        lib.sdc_merge_ways.argtypes = [
-            _F64, _I64, _I64, _F64, ctypes.c_int64, ctypes.c_int64, _I64,
-        ]
-        lib.sdc_merge_ways.restype = None
-        lib.select_smallest.argtypes = [
-            _F64, ctypes.c_int64, ctypes.c_int64, _I64,
-        ]
-        lib.select_smallest.restype = None
+        signatures = {
+            "pairwise_node_weights": ([_P, _I, _P, _I, _I, _P], None),
+            "pressure_node_weights": ([_P, _P, _P, _I, _I, _D, _D, _P], None),
+            "pressure_monotone_topk": (
+                [_P, _P, _P, _I, _I, _I, _D, _D, _I, _P, _P], _I),
+            "sdc_merge_ways": ([_P, _P, _P, _P, _I, _I, _P], None),
+            "select_smallest": ([_P, _I, _I, _P], None),
+        }
+        for name, (argtypes, restype) in signatures.items():
+            fn = getattr(lib, name)
+            fn.argtypes = argtypes
+            fn.restype = restype
 
     # ------------------------------------------------------------------ #
 
@@ -118,9 +118,8 @@ class _CcBackend:
         nd = np.ascontiguousarray(nodes, dtype=np.int64)
         out = np.empty(len(nd), dtype=np.float64)
         self._lib.pairwise_node_weights(
-            P.ctypes.data_as(_F64), P.shape[0],
-            nd.ctypes.data_as(_I64), nd.shape[0], nd.shape[1],
-            out.ctypes.data_as(_F64),
+            P.ctypes.data, P.shape[0], nd.ctypes.data, nd.shape[0],
+            nd.shape[1], out.ctypes.data,
         )
         return out
 
@@ -132,13 +131,38 @@ class _CcBackend:
         nd = np.ascontiguousarray(nodes, dtype=np.int64)
         out = np.empty(len(nd), dtype=np.float64)
         self._lib.pressure_node_weights(
-            s.ctypes.data_as(_F64), a.ctypes.data_as(_F64),
-            nd.ctypes.data_as(_I64), nd.shape[0], nd.shape[1],
-            float(kappa),
+            s.ctypes.data, a.ctypes.data, nd.ctypes.data, nd.shape[0],
+            nd.shape[1], float(kappa),
             -1.0 if saturation is None else float(saturation),
-            out.ctypes.data_as(_F64),
+            out.ctypes.data,
         )
         return out
+
+    def pressure_monotone_topk(self, ordered: np.ndarray, level_pid: int,
+                               k: int, sens: np.ndarray, aggr: np.ndarray,
+                               kappa: float, saturation: Optional[float],
+                               L: int) -> Tuple[np.ndarray, np.ndarray]:
+        o = np.ascontiguousarray(ordered, dtype=np.int64)
+        s = np.ascontiguousarray(sens, dtype=np.float64)
+        a = s if aggr is sens else np.ascontiguousarray(aggr, dtype=np.float64)
+        # The C loop indexes sens/aggr by these pids unchecked.
+        n = min(len(s), len(a))
+        if k < 0 or not 0 <= level_pid < n or (
+            len(o) and not (0 <= o.min() and o.max() < n)
+        ):
+            raise ValueError("pressure_monotone_topk: k or a pid out of range")
+        L = max(0, min(int(L), math.comb(len(o), k) if k <= len(o) else 0))
+        subsets = np.empty((L, k), dtype=np.int64)
+        weights = np.empty(L, dtype=np.float64)
+        got = self._lib.pressure_monotone_topk(
+            s.ctypes.data, a.ctypes.data, o.ctypes.data, len(o),
+            int(level_pid), int(k), float(kappa),
+            -1.0 if saturation is None else float(saturation), L,
+            subsets.ctypes.data, weights.ctypes.data,
+        )
+        if got < 0:
+            raise MemoryError("pressure_monotone_topk: scratch allocation")
+        return subsets[:got], weights[:got]
 
     def sdc_merge_ways(self, counters: Sequence[Sequence[float]],
                        weights: Sequence[float], associativity: int) -> list:
@@ -165,12 +189,9 @@ class _CcBackend:
         w = array("d", [float(x) for x in weights])
         won = array("q", bytes(8 * k))
         self._lib.sdc_merge_ways(
-            ctypes.cast(flat.buffer_info()[0], _F64),
-            ctypes.cast(offsets.buffer_info()[0], _I64),
-            ctypes.cast(lengths.buffer_info()[0], _I64),
-            ctypes.cast(w.buffer_info()[0], _F64),
-            k, int(associativity),
-            ctypes.cast(won.buffer_info()[0], _I64),
+            flat.buffer_info()[0], offsets.buffer_info()[0],
+            lengths.buffer_info()[0], w.buffer_info()[0],
+            k, int(associativity), won.buffer_info()[0],
         )
         return list(won)
 
@@ -183,9 +204,7 @@ class _CcBackend:
         if 6 * k > len(w):
             return numpy_backend.select_smallest(w, k)
         out = np.empty(k, dtype=np.int64)
-        self._lib.select_smallest(
-            w.ctypes.data_as(_F64), len(w), k, out.ctypes.data_as(_I64),
-        )
+        self._lib.select_smallest(w.ctypes.data, len(w), k, out.ctypes.data)
         return out
 
 
@@ -199,134 +218,4 @@ def load_cc_backend() -> Optional[_CcBackend]:
             return None
         return _CcBackend(ctypes.CDLL(str(lib_path)))
     except OSError:
-        return None
-
-
-# --------------------------------------------------------------------- #
-# numba provider
-# --------------------------------------------------------------------- #
-
-
-class _NumbaBackend:
-    """numba-jitted kernels; bodies mirror ``_kernels.c`` loop for loop."""
-
-    provider = "numba"
-
-    def __init__(self, njit):
-        @njit(cache=False)
-        def _pairwise(P, nodes, out):  # pragma: no cover - requires numba
-            N, u = nodes.shape
-            for r in range(N):
-                total = 0.0
-                for i in range(u):
-                    pi = nodes[r, i]
-                    for j in range(u):
-                        if j != i:
-                            total += P[pi, nodes[r, j]]
-                out[r] = total
-
-        @njit(cache=False)
-        def _pressure(sens, aggr, nodes, kappa, saturation, out):
-            # pragma: no cover - requires numba
-            N, u = nodes.shape
-            for r in range(N):
-                asum = 0.0
-                for i in range(u):
-                    asum += aggr[nodes[r, i]]
-                total = 0.0
-                if saturation > 0.0:
-                    for i in range(u):
-                        others = asum - aggr[nodes[r, i]]
-                        total += sens[nodes[r, i]] * (
-                            saturation * (1.0 - np.exp(-others / saturation))
-                        )
-                else:
-                    for i in range(u):
-                        total += sens[nodes[r, i]] * (asum - aggr[nodes[r, i]])
-                out[r] = kappa * total
-
-        @njit(cache=False)
-        def _sdc_merge(flat, offsets, lengths, weights, assoc, won):
-            # pragma: no cover - requires numba
-            k = len(lengths)
-            ptr = np.zeros(k, dtype=np.int64)
-            claimed = 0
-            for _pos in range(assoc):
-                best = -1
-                best_val = -1.0
-                for i in range(k):
-                    if ptr[i] >= lengths[i]:
-                        continue
-                    val = flat[offsets[i] + ptr[i]] * weights[i]
-                    if val > best_val:
-                        best_val = val
-                        best = i
-                if best < 0 or best_val <= 0.0:
-                    break
-                won[best] += 1
-                ptr[best] += 1
-                claimed += 1
-            remaining = assoc - claimed
-            i = 0
-            while remaining > 0:
-                won[i % k] += 1
-                remaining -= 1
-                i += 1
-
-        self._pairwise = _pairwise
-        self._pressure = _pressure
-        self._sdc_merge = _sdc_merge
-
-    def pairwise_node_weights(self, pairwise, nodes):
-        # pragma: no cover - requires numba
-        P = np.ascontiguousarray(pairwise, dtype=np.float64)
-        nd = np.ascontiguousarray(nodes, dtype=np.int64)
-        out = np.empty(len(nd), dtype=np.float64)
-        self._pairwise(P, nd, out)
-        return out
-
-    def pressure_node_weights(self, sens, aggr, nodes, kappa, saturation):
-        # pragma: no cover - requires numba
-        s = np.ascontiguousarray(sens, dtype=np.float64)
-        a = s if aggr is sens else np.ascontiguousarray(aggr, dtype=np.float64)
-        nd = np.ascontiguousarray(nodes, dtype=np.int64)
-        out = np.empty(len(nd), dtype=np.float64)
-        self._pressure(
-            s, a, nd, float(kappa),
-            -1.0 if saturation is None else float(saturation), out,
-        )
-        return out
-
-    def sdc_merge_ways(self, counters, weights, associativity):
-        # pragma: no cover - requires numba
-        k = len(counters)
-        if k == 0:
-            return numpy_backend.sdc_merge_ways(counters, weights,
-                                                associativity)
-        lengths = np.array([len(c) for c in counters], dtype=np.int64)
-        offsets = np.zeros(k, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=offsets[1:])
-        flat = np.empty(int(lengths.sum()), dtype=np.float64)
-        for i, c in enumerate(counters):
-            flat[offsets[i]:offsets[i] + lengths[i]] = c
-        w = np.ascontiguousarray(weights, dtype=np.float64)
-        won = np.zeros(k, dtype=np.int64)
-        self._sdc_merge(flat, offsets, lengths, w, int(associativity), won)
-        return [int(x) for x in won]
-
-    def select_smallest(self, weights, k):
-        # Selection is memory-bound; numba gains nothing over the stable
-        # argsort, so the numba provider delegates.
-        return numpy_backend.select_smallest(weights, k)
-
-
-def load_numba_backend() -> Optional[_NumbaBackend]:
-    """Jit the kernels with numba when it is importable; None otherwise."""
-    try:  # pragma: no cover - exercised only with the [native] extra
-        from numba import njit
-    except Exception:
-        return None
-    try:  # pragma: no cover - exercised only with the [native] extra
-        return _NumbaBackend(njit)
-    except Exception:
         return None

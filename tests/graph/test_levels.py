@@ -7,13 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.degradation import MatrixDegradationModel, MissRatePressureModel
+from repro.core.degradation import (
+    AsymmetricContentionModel,
+    MatrixDegradationModel,
+    MissRatePressureModel,
+)
 from repro.core.jobs import Workload, pe_job, serial_job
 from repro.core.machine import DUAL_CORE_CLUSTER, QUAD_CORE_CLUSTER
 from repro.core.objective import evaluate_schedule
 from repro.core.problem import CoSchedulingProblem
 from repro.core.schedule import CoSchedule
+from repro.perf import kernels
+import repro.graph.levels as levels_mod
 from repro.graph.levels import HeuristicEstimator, SuccessorGenerator
+from repro.graph.subset_enum import iter_subsets_monotone
 
 
 def pressure_problem(n, cluster=QUAD_CORE_CLUSTER, seed=0, saturation=None):
@@ -91,6 +98,107 @@ class TestSuccessorGenerator:
         ws = [w for _n, w in itertools.islice(
             gen.successors_stream(tuple(range(12))), 30)]
         assert all(a <= b + 1e-12 for a, b in zip(ws, ws[1:]))
+
+
+def heap_successors(problem, unscheduled):
+    """A level's successors from the per-pop Python heap enumerator,
+    scored through the model's batch kernel — the order the lazy paths
+    must reproduce."""
+    model = problem.model
+    level_pid, rest = unscheduled[0], unscheduled[1:]
+    k = problem.u - 1
+
+    def weight_batch(subs):
+        rows = np.array([(level_pid,) + sub for sub in subs], dtype=np.intp)
+        return model.node_weights_batch(rows)
+
+    for sub, w in iter_subsets_monotone(rest, k, None, model.pressure,
+                                        weight_batch=weight_batch):
+        yield tuple(sorted((level_pid,) + sub)), w
+
+
+COMPILED = kernels.active_backend() == "native"
+needs_compiled = pytest.mark.skipif(not COMPILED,
+                                    reason="compiled kernels not active")
+
+
+class TestLazyLevelKernel:
+    """With compiled kernels, pressure-form models take each lazy level
+    prefix from one ``pressure_monotone_topk`` call; without them the
+    Python heap streams.  The order must not change either way."""
+
+    def test_stream_reads_past_first_call(self):
+        problem = pressure_problem(20, saturation=0.9)
+        gen = SuccessorGenerator(problem)
+        state = tuple(range(20))
+        got = list(itertools.islice(gen.successors_stream(state), 300))
+        assert got == list(itertools.islice(heap_successors(problem, state),
+                                            300))
+        assert gen.stats["generated"] == 300
+
+    @needs_compiled
+    def test_compiled_stream_grows_fourfold(self):
+        problem = pressure_problem(20, saturation=0.9)
+        gen = SuccessorGenerator(problem)
+        # C(19, 3) = 969: calls for 64, 256, then the whole level (capped).
+        list(itertools.islice(gen.successors_stream(tuple(range(20))), 300))
+        stats = problem.counters.batch_stats("lazy_frontier")
+        assert (stats["batches"], stats["items"]) == (3, 64 + 256 + 969)
+
+    def test_heap_stream_scores_only_what_it_reads(self, monkeypatch):
+        """Without compiled kernels the heap streams directly: reading
+        ``t`` entries scores at most ``1 + t*k`` subsets, with no prefix
+        recomputed."""
+        monkeypatch.setattr(levels_mod._kernels, "active_backend",
+                            lambda: "numpy")
+        problem = pressure_problem(20, saturation=0.9)
+        gen = SuccessorGenerator(problem)
+        state = tuple(range(20))
+        got = list(itertools.islice(gen.successors_stream(state), 65))
+        assert got == list(itertools.islice(heap_successors(problem, state),
+                                            65))
+        assert problem.counters.batch_stats("lazy_frontier")["items"] <= (
+            1 + 65 * 3)
+
+    def test_stream_covers_whole_level_once(self):
+        problem = pressure_problem(12, seed=4)
+        gen = SuccessorGenerator(problem)
+        state = tuple(range(3, 12))
+        got = list(gen.successors_stream(state))
+        assert got == list(heap_successors(problem, state))
+        assert len(got) == math.comb(8, 3)  # fewer than 64: one call
+        if COMPILED:
+            batches = problem.counters.batch_stats("lazy_frontier")["batches"]
+            assert batches == 1
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_lazy_trim_matches_heap_for_monotone_and_proxy(self, seed):
+        jobs = [serial_job(i, f"j{i}") for i in range(24)]
+        wl = Workload(jobs, cores_per_machine=4)
+        for model in (
+            MissRatePressureModel.random(24, cores=4, seed=seed),
+            AsymmetricContentionModel.random(24, cores=4, seed=seed,
+                                             saturation=0.9),
+        ):
+            problem = CoSchedulingProblem(wl, QUAD_CORE_CLUSTER, model)
+            gen = SuccessorGenerator(problem, lazy_threshold=1)
+            state = tuple(range(24))
+            got = gen.successors(state, limit=6)
+            if model.is_member_monotone():
+                prefix = list(itertools.islice(
+                    heap_successors(problem, state), 6))
+                want = prefix
+            else:
+                # Proxy ranks: oversample 4x, keep the 6 lightest.
+                prefix = list(itertools.islice(
+                    heap_successors(problem, state), 24))
+                want = sorted(prefix, key=lambda t: (t[1], t[0]))[:6]
+            assert got == want
+            if COMPILED:
+                assert problem.counters.batch_stats("lazy_frontier") == {
+                    "batches": 1, "items": len(prefix),
+                    "max_size": len(prefix), "mean_size": float(len(prefix)),
+                }
 
 
 def complete_schedules(n, u):

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -211,3 +212,49 @@ class TestWeightBatch:
             weight_batch=wb))
         assert seen["called"]
         assert [s for s, _ in out] == [(0, 1), (0, 2), (1, 2)]
+
+
+class TestPrefixOracle:
+    """The ``topk`` hook streams growing prefixes from a one-call oracle:
+    same entries and order as the heap, each entry yielded once."""
+
+    @staticmethod
+    def oracle(w, rank, k, calls):
+        def topk(ordered, count):
+            calls.append(count)
+            assert ordered == sorted(ordered, key=rank)
+            head = list(itertools.islice(
+                iter_subsets_monotone(ordered, k, w, rank), count))
+            return (np.array([s for s, _ in head]).reshape(len(head), k),
+                    np.array([x for _, x in head]))
+        return topk
+
+    @pytest.mark.parametrize("n,k,first", [(11, 3, 5), (9, 2, 64), (7, 7, 3)])
+    def test_matches_heap_and_grows_fourfold(self, n, k, first):
+        vals = {i: 0.1 + ((7 * i) % n) * 0.05 for i in range(n)}
+        rank = vals.__getitem__
+        w = sum_weight(vals)
+        calls = []
+        got = list(iter_subsets_monotone(
+            list(range(n)), k, w, rank,
+            topk=self.oracle(w, rank, k, calls), first=first))
+        assert got == list(iter_subsets_monotone(list(range(n)), k, w, rank))
+        total = math.comb(n, k)
+        want, count = [], min(first, total)
+        while True:
+            want.append(count)
+            if count == total:
+                break
+            count = min(4 * count, total)
+        assert calls == want
+
+    def test_reads_only_the_first_call_when_enough(self):
+        vals = {i: float(i) for i in range(12)}
+        rank = vals.__getitem__
+        w = sum_weight(vals)
+        calls = []
+        it = iter_subsets_monotone(list(range(12)), 3, w, rank,
+                                   topk=self.oracle(w, rank, 3, calls),
+                                   first=6)
+        assert len(list(itertools.islice(it, 6))) == 6
+        assert calls == [6]

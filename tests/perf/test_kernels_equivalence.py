@@ -5,7 +5,8 @@ produced — callers never know which backend scored them.  This suite
 checks that bit-level promise on randomized inputs far larger than the
 import-time self-check: every degradation model's batch kernel, the SDC
 merge walk across ragged group shapes, and the (weight, index) tie-break
-of the fused level select.  A subprocess test pins ``COSCHED_NATIVE=0``
+of the fused level select, and the compiled top-L level enumeration
+against the Python heap it replaced.  A subprocess test pins ``COSCHED_NATIVE=0``
 and asserts the dispatcher reports (and uses) the NumPy fallback.
 
 When no native provider loads in this environment, the dispatch tests
@@ -14,7 +15,9 @@ reduce to NumPy-vs-NumPy and the dedicated native assertions skip.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from repro.core.degradation import (
     MatrixDegradationModel,
     MissRatePressureModel,
 )
+from repro.graph.subset_enum import iter_subsets_monotone
 from repro.perf import kernels
 from repro.perf.kernels import native, numpy_backend
 
@@ -38,7 +42,7 @@ def nodes_for(rng, n, u, count):
 
 
 def native_impl():
-    impl = native.load_numba_backend() or native.load_cc_backend()
+    impl = native.load_cc_backend()
     if impl is None:
         pytest.skip("no native kernel provider in this environment")
     return impl
@@ -172,6 +176,152 @@ class TestSelectSmallest:
         w = np.array([3.0, 1.0, 2.0])
         assert list(kernels.select_smallest(w, 0)) == []
         assert list(kernels.select_smallest(w, 99)) == [1, 2, 0]
+
+
+def topk_case(seed):
+    """A random level: rank-ordered candidates plus pressure terms.
+
+    Odd seeds draw miss rates on a 0.05 grid, so many subsets tie exactly
+    and the (weight, index tuple) tie-break decides their order; seeds
+    divisible by 3 use distinct sensitivity and aggressiveness vectors
+    (the proxy-ranked asymmetric kernel), the others ``sens is aggr``.
+    """
+    rng = np.random.default_rng(500 + seed)
+    k = 1 + seed % 7
+    m = k + int(rng.integers(0, 12))
+    n = m + 1
+    sens = rng.uniform(0.15, 0.75, size=n)
+    if seed % 2:
+        sens = np.round(sens * 20) / 20
+    aggr = sens if seed % 3 else rng.uniform(0.15, 0.75, size=n)
+    level_pid = int(rng.integers(0, n))
+    rest = np.array([p for p in range(n) if p != level_pid])
+    keys = sens[rest] if aggr is sens else sens[rest] + aggr[rest]
+    ordered = rest[np.argsort(keys, kind="stable")]
+    saturation = (None, 0.9)[seed % 4 // 2]
+    return ordered, level_pid, k, sens, aggr, 0.31, saturation
+
+
+def heap_reference(impl, ordered, level_pid, k, sens, aggr, kappa,
+                   saturation, L):
+    """The Python heap enumerator scoring each pop with ``impl``'s
+    ``pressure_node_weights`` — the per-pop path the kernel replaced."""
+    def weight_batch(subs):
+        rows = np.empty((len(subs), k + 1), dtype=np.intp)
+        rows[:, 0] = level_pid
+        rows[:, 1:] = subs
+        return impl.pressure_node_weights(sens, aggr, rows, kappa,
+                                          saturation)
+
+    rank = {int(p): i for i, p in enumerate(ordered)}
+    return list(itertools.islice(
+        iter_subsets_monotone([int(p) for p in ordered], k, None,
+                              rank.__getitem__, weight_batch=weight_batch),
+        L))
+
+
+def tie_classes(subsets, weights, tol=1e-12):
+    """Runs of (near-)equal weights, as sets of subsets."""
+    out = []
+    for sub, w in zip(subsets, weights):
+        if out and abs(w - out[-1][0]) <= tol:
+            out[-1][1].add(tuple(sub))
+        else:
+            out.append((w, {tuple(sub)}))
+    return [members for _w, members in out]
+
+
+class TestMonotoneTopk:
+    """``pressure_monotone_topk``: the compiled lazy level enumeration."""
+
+    @pytest.mark.parametrize("seed", range(42))
+    def test_native_matches_python_heap_bitwise(self, seed):
+        impl = native_impl()
+        case = topk_case(seed)
+        ordered, k = case[0], case[2]
+        total = math.comb(len(ordered), k)
+        for L in sorted({1, max(1, total // 3), total, total + 7}):
+            subs, ws = impl.pressure_monotone_topk(*case, L)
+            ref = heap_reference(impl, *case, L)
+            assert len(ws) == len(ref) == min(L, total)
+            assert [tuple(r) for r in subs.tolist()] == [s for s, _ in ref]
+            # Same row function, same rows: bit-identical weights, so ties
+            # break identically too.
+            assert ws.tolist() == [w for _, w in ref]
+
+    @pytest.mark.parametrize("seed", range(42))
+    def test_dispatch_matches_numpy_reference(self, seed):
+        case = topk_case(seed)
+        ordered, k, sens, aggr = case[0], case[2], case[3], case[4]
+        total = math.comb(len(ordered), k)
+        for L in sorted({1, max(1, total // 3), total, total + 7}):
+            got_s, got_w = kernels.pressure_monotone_topk(*case, L)
+            ref_s, ref_w = numpy_backend.pressure_monotone_topk(*case, L)
+            assert got_s.shape == ref_s.shape == (min(L, total), k)
+            np.testing.assert_allclose(got_w, ref_w, rtol=0, atol=1e-12)
+            if seed % 2 == 0:
+                # Untied draws: the orders agree exactly.
+                assert np.array_equal(got_s, ref_s)
+            elif aggr is sens:
+                # Exact ties may round apart differently between the
+                # backends; each run of equal weights holds the same
+                # subsets (the last run may be cut short by L).
+                assert tie_classes(got_s.tolist(), got_w)[:-1] == \
+                    tie_classes(ref_s.tolist(), ref_w)[:-1]
+
+    def test_numpy_reference_is_the_python_heap(self):
+        case = topk_case(4)
+        subs, ws = numpy_backend.pressure_monotone_topk(*case, 50)
+        ref = heap_reference(numpy_backend, *case, 50)
+        assert [tuple(r) for r in subs.tolist()] == [s for s, _ in ref]
+        assert ws.tolist() == [w for _, w in ref]
+
+    @pytest.mark.parametrize("impl_name", ["native", "numpy"])
+    def test_edge_sizes(self, impl_name):
+        impl = native_impl() if impl_name == "native" else numpy_backend
+        sens = np.array([0.2, 0.5, 0.7, 0.4])
+        ordered = np.array([1, 3, 2])
+        # m == k: the single subset is the whole candidate list.
+        subs, ws = impl.pressure_monotone_topk(ordered, 0, 3, sens, sens,
+                                               0.5, None, 10)
+        assert subs.tolist() == [[1, 3, 2]]
+        assert ws.tolist() == numpy_backend.pressure_node_weights(
+            sens, sens, np.array([[0, 1, 3, 2]]), 0.5, None).tolist()
+        # k > m, L == 0, and k == 0 (the empty subset, weight 0).
+        for k, L, want in ((4, 5, 0), (2, 0, 0), (0, 5, 1)):
+            subs, ws = impl.pressure_monotone_topk(ordered, 0, k, sens,
+                                                   sens, 0.5, None, L)
+            assert subs.shape == (want, k) and len(ws) == want
+        assert ws.tolist() == [0.0]
+
+    def test_native_rejects_out_of_range_pids(self):
+        # The compiled loop indexes the pressure vectors unchecked.
+        impl = native_impl()
+        sens = np.array([0.2, 0.5, 0.7])
+        for ordered, level_pid, k in (([1, 3], 0, 1), ([1, 2], 3, 1),
+                                      ([-1, 2], 0, 1), ([1, 2], 0, -1)):
+            with pytest.raises(ValueError):
+                impl.pressure_monotone_topk(np.array(ordered), level_pid, k,
+                                            sens, sens, 0.5, None, 3)
+
+
+class TestSelfCheck:
+    """The import-time gate must reject a provider whose top-L kernel
+    disagrees with the reference, so it degrades to the fallback."""
+
+    def test_rejects_wrong_topk_order(self):
+        impl = native_impl()
+
+        class SwappedTopk:
+            def __getattr__(self, name):
+                return getattr(impl, name)
+
+            def pressure_monotone_topk(self, *args):
+                subsets, weights = impl.pressure_monotone_topk(*args)
+                return subsets[::-1], weights[::-1]
+
+        assert kernels._self_check(impl)
+        assert not kernels._self_check(SwappedTopk())
 
 
 class TestForcedFallback:
